@@ -114,7 +114,7 @@ func topKJoin(cat *catalog.Catalog, features []string, weights []float64) {
 	fmt.Println("-- top-k join via the rank-aware optimizer --")
 	fmt.Print(plan.Explain(res.Best))
 
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

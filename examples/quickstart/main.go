@@ -46,7 +46,7 @@ func main() {
 	fmt.Print(plan.Explain(res.Best))
 
 	// 4. Execute.
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

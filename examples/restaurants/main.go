@@ -72,7 +72,7 @@ func main() {
 	fmt.Println("plan:")
 	fmt.Print(plan.Explain(res.Best))
 
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

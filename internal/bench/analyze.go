@@ -59,8 +59,6 @@ type AnalyzeReport struct {
 	Config   AnalyzeConfig `json:"config"`
 	MaxProcs int           `json:"gomaxprocs"`
 	CPUs     int           `json:"cpus"`
-	// SingleCPU flags runs taken at GOMAXPROCS=1 (see BatchReport.SingleCPU).
-	SingleCPU bool `json:"single_cpu"`
 	// MeanRelErr and MaxRelErr aggregate both sides of every sample (1.0 =
 	// 100% relative error).
 	MeanRelErr float64       `json:"mean_rel_err"`
@@ -91,7 +89,7 @@ func Analyze(cfg AnalyzeConfig) (*AnalyzeReport, error) {
 		N: cfg.Rows, Selectivity: cfg.Selectivity, Seed: cfg.Seed,
 	})
 	eng := engine.New(cat, core.Options{})
-	rep := &AnalyzeReport{Config: cfg, MaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(), SingleCPU: runtime.GOMAXPROCS(0) == 1}
+	rep := &AnalyzeReport{Config: cfg, MaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU()}
 	var errSum float64
 	var errN int
 	for _, k := range cfg.Ks {

@@ -67,15 +67,12 @@ type BatchPoint struct {
 
 // BatchReport is the BENCH_batch.json artifact.
 type BatchReport struct {
-	Config   BatchConfig `json:"config"`
-	MaxProcs int         `json:"gomaxprocs"`
-	CPUs     int         `json:"cpus"`
-	// SingleCPU flags runs taken at GOMAXPROCS=1, where parallel speedups
-	// are structurally invisible. Batch-vs-tuple ratios are single-threaded
-	// either way, so they remain valid — the flag exists so artifacts are
-	// honest about the machine.
-	SingleCPU bool         `json:"single_cpu"`
-	Points    []BatchPoint `json:"points"`
+	Config BatchConfig `json:"config"`
+	// MaxProcs and CPUs stamp the machine. Batch-vs-tuple ratios are
+	// single-threaded, so they stay valid at gomaxprocs=1.
+	MaxProcs int          `json:"gomaxprocs"`
+	CPUs     int          `json:"cpus"`
+	Points   []BatchPoint `json:"points"`
 }
 
 // batchCase names one benchmark pipeline and builds fresh operator trees for
@@ -219,10 +216,9 @@ func BatchExec(cfg BatchConfig) (*BatchReport, error) {
 	perTuple := func(op exec.Operator) (int, error) { return exec.DrainPerTupleCtx(ctx, op) }
 	batch := func(op exec.Operator) (int, error) { return exec.DrainCtx(ctx, op) }
 	report := &BatchReport{
-		Config:    cfg,
-		MaxProcs:  runtime.GOMAXPROCS(0),
-		CPUs:      runtime.NumCPU(),
-		SingleCPU: runtime.GOMAXPROCS(0) == 1,
+		Config:   cfg,
+		MaxProcs: runtime.GOMAXPROCS(0),
+		CPUs:     runtime.NumCPU(),
 	}
 	for _, c := range cases {
 		buildRef := c.buildRef

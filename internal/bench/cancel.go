@@ -52,13 +52,12 @@ func DefaultCancelConfig() CancelConfig {
 // sessions that returned anything other than ErrQueryCancelled — it must be
 // zero.
 type CancelReport struct {
-	Config   CancelConfig `json:"config"`
-	MaxProcs int          `json:"gomaxprocs"`
-	CPUs     int          `json:"cpus"`
-	// SingleCPU flags runs taken at GOMAXPROCS=1 — cancel latencies there
+	Config CancelConfig `json:"config"`
+	// MaxProcs and CPUs stamp the machine. At gomaxprocs=1 cancel latencies
 	// include scheduler queuing behind the running query, not just polling
-	// cadence, so tails are expected to stretch (see BatchReport.SingleCPU).
-	SingleCPU   bool    `json:"single_cpu"`
+	// cadence, so tails are expected to stretch.
+	MaxProcs    int     `json:"gomaxprocs"`
+	CPUs        int     `json:"cpus"`
 	Sessions    int     `json:"sessions"`
 	Mistyped    int     `json:"mistyped_errors"`
 	P50Millis   float64 `json:"p50_cancel_latency_ms"`
@@ -120,7 +119,7 @@ func Cancel(cfg CancelConfig) (*CancelReport, error) {
 
 	rep := &CancelReport{
 		Config: cfg, MaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(),
-		SingleCPU: runtime.GOMAXPROCS(0) == 1, Sessions: cfg.Sessions,
+		Sessions: cfg.Sessions,
 	}
 	for _, m := range mistyped {
 		if m {

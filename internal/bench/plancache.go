@@ -67,12 +67,10 @@ type PlanCachePoint struct {
 
 // PlanCacheReport is the BENCH_plancache.json artifact.
 type PlanCacheReport struct {
-	Config   PlanCacheConfig `json:"config"`
-	MaxProcs int             `json:"gomaxprocs"`
-	CPUs     int             `json:"cpus"`
-	// SingleCPU flags runs taken at GOMAXPROCS=1 (see BatchReport.SingleCPU).
-	SingleCPU bool             `json:"single_cpu"`
-	Points    []PlanCachePoint `json:"points"`
+	Config   PlanCacheConfig  `json:"config"`
+	MaxProcs int              `json:"gomaxprocs"`
+	CPUs     int              `json:"cpus"`
+	Points   []PlanCachePoint `json:"points"`
 	// CacheStats snapshots the warm engine's counters after the sweep, as
 	// evidence the warm numbers really were served from the cache.
 	CacheHits          uint64 `json:"cache_hits"`
@@ -136,7 +134,7 @@ func PlanCache(cfg PlanCacheConfig) (*PlanCacheReport, error) {
 	if err := firstErr(warm.RunAll(reqs, 1)); err != nil {
 		return nil, fmt.Errorf("bench: plancache cache priming: %w", err)
 	}
-	report := &PlanCacheReport{Config: cfg, MaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(), SingleCPU: runtime.GOMAXPROCS(0) == 1}
+	report := &PlanCacheReport{Config: cfg, MaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU()}
 	for _, w := range cfg.Workers {
 		pt := PlanCachePoint{Workers: w, Queries: len(reqs)}
 		var err error

@@ -79,11 +79,10 @@ type PlannerPoint struct {
 
 // PlannerReport is the BENCH_planner.json artifact.
 type PlannerReport struct {
-	Config    PlannerConfig  `json:"config"`
-	MaxProcs  int            `json:"gomaxprocs"`
-	CPUs      int            `json:"cpus"`
-	SingleCPU bool           `json:"single_cpu"`
-	Points    []PlannerPoint `json:"points"`
+	Config   PlannerConfig  `json:"config"`
+	MaxProcs int            `json:"gomaxprocs"`
+	CPUs     int            `json:"cpus"`
+	Points   []PlannerPoint `json:"points"`
 	// MedianSpeedup aggregates the per-point planning-time speedups.
 	MedianSpeedup float64 `json:"median_speedup"`
 	// WorstCostRatio is the largest greedy/DP plan-cost ratio of the sweep.
@@ -124,7 +123,7 @@ func medianMicros(trials int, fn func()) float64 {
 
 // topKScores executes a plan and extracts the combined-score column.
 func topKScores(cat *catalog.Catalog, root *plan.Node) ([]float64, error) {
-	op, err := plan.Compile(cat, root)
+	op, err := plan.CompileWith(cat, root, plan.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
@@ -147,7 +146,6 @@ func Planner(cfg PlannerConfig) (*PlannerReport, error) {
 	}
 	rep := &PlannerReport{
 		Config: cfg, MaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(),
-		SingleCPU: runtime.GOMAXPROCS(0) == 1,
 	}
 	sql := chainSQL(cfg.Tables, cfg.K)
 	q, err := sqlparse.Parse(sql)

@@ -63,14 +63,12 @@ type ThroughputPoint struct {
 // raise CPU-bound throughput, so a 1-core runner shows flat points while a
 // multi-core one shows the speedup.
 type ThroughputReport struct {
-	Config   ThroughputConfig `json:"config"`
-	MaxProcs int              `json:"gomaxprocs"`
-	CPUs     int              `json:"cpus"`
-	// SingleCPU flags runs taken at GOMAXPROCS=1, where multi-worker scaling
-	// is structurally invisible — artifacts say so instead of looking like a
-	// scaling regression.
-	SingleCPU bool              `json:"single_cpu"`
-	Points    []ThroughputPoint `json:"points"`
+	Config ThroughputConfig `json:"config"`
+	// MaxProcs and CPUs stamp the machine: at gomaxprocs=1 multi-worker
+	// scaling is structurally invisible, not a regression.
+	MaxProcs int               `json:"gomaxprocs"`
+	CPUs     int               `json:"cpus"`
+	Points   []ThroughputPoint `json:"points"`
 }
 
 // throughputQueries builds a deterministic session mix over the T1..Tm
@@ -129,7 +127,7 @@ func Throughput(cfg ThroughputConfig) (*ThroughputReport, error) {
 	})
 	eng := engine.New(cat, core.Options{Workers: cfg.OptWorkers})
 	reqs := throughputQueries(cfg)
-	report := &ThroughputReport{Config: cfg, MaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(), SingleCPU: runtime.GOMAXPROCS(0) == 1}
+	report := &ThroughputReport{Config: cfg, MaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU()}
 	// Untimed warm-up batch: grows the heap and faults in the catalog pages
 	// once, so the first measured point holds no cold-start advantage over
 	// the later ones.

@@ -77,8 +77,6 @@ type TraceOverheadReport struct {
 	Config   TraceOverheadConfig `json:"config"`
 	MaxProcs int                 `json:"gomaxprocs"`
 	CPUs     int                 `json:"cpus"`
-	// SingleCPU flags runs taken at GOMAXPROCS=1 (see BatchReport.SingleCPU).
-	SingleCPU bool `json:"single_cpu"`
 
 	OffMillis float64 `json:"off_elapsed_ms"`
 	OffQPS    float64 `json:"off_queries_per_sec"`
@@ -146,7 +144,7 @@ func TraceOverhead(cfg TraceOverheadConfig) (*TraceOverheadReport, error) {
 		return nil, fmt.Errorf("bench: trace overhead warm-up: %w", err)
 	}
 
-	report := &TraceOverheadReport{Config: cfg, MaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(), SingleCPU: runtime.GOMAXPROCS(0) == 1}
+	report := &TraceOverheadReport{Config: cfg, MaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU()}
 	for r := 0; r < cfg.Repeats; r++ {
 		ms, qps, allocs, err := measureBatch(eng, reqs, 1)
 		if err != nil {

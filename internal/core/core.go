@@ -127,7 +127,7 @@ type Result struct {
 	// BestJoin is the underlying join plan before final assembly.
 	BestJoin *plan.Node
 	// AllPlans holds every completed full-query alternative (only when
-	// Options.CollectAllPlans is set). Each is executable via plan.Compile
+	// Options.CollectAllPlans is set). Each is executable via plan.CompileWith
 	// and must produce the same top-k answer as Best.
 	AllPlans []*plan.Node
 	// Memo maps entry labels (e.g. "A,B") to the retained plans, mirroring

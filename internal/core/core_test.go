@@ -76,7 +76,7 @@ func referenceTopK(t *testing.T, cat *catalog.Catalog, q *logical.Query, k int) 
 // combined score column (the Rank operator's second-to-last output column).
 func runBest(t *testing.T, cat *catalog.Catalog, res *Result) []float64 {
 	t.Helper()
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, plan.Explain(res.Best))
 	}
@@ -303,7 +303,7 @@ func TestNonRankingOrderByQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestSelectProjectionAndFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		t.Fatalf("%v\n%s", err, plan.Explain(res.Best))
 	}
@@ -464,7 +464,7 @@ func TestGroupedQueryEndToEnd(t *testing.T) {
 	if res.Best.CountOps(plan.OpHashAgg)+res.Best.CountOps(plan.OpSortAgg) != 1 {
 		t.Fatalf("grouped plan lacks aggregation:\n%s", plan.Explain(res.Best))
 	}
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestGroupedQueryPrefersSortedAggOnIndexedColumn(t *testing.T) {
 	if res.Best.CountOps(plan.OpSortAgg) != 1 {
 		t.Errorf("expected a streaming sorted aggregate:\n%s", plan.Explain(res.Best))
 	}
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +686,7 @@ func TestSargableFilterUsesRangeScan(t *testing.T) {
 	if res.Best.CountOps(plan.OpIndexRange) == 0 {
 		t.Errorf("expected an index range scan:\n%s", plan.Explain(res.Best))
 	}
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,7 +736,7 @@ func TestStrictInequalityRangeScanCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -856,7 +856,7 @@ func TestTopKSelectionPlanGenerated(t *testing.T) {
 	if ta == nil {
 		t.Fatal("top-k selection plan should be detected")
 	}
-	op, err := plan.Compile(cat, ta)
+	op, err := plan.CompileWith(cat, ta, plan.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

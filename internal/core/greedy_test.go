@@ -61,7 +61,7 @@ func TestGreedyNonRankingAndFiltered(t *testing.T) {
 	if res.Planner != PlannerGreedy {
 		t.Fatalf("non-ranking query fell back: %+v", res.GreedyFallback)
 	}
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, plan.Explain(res.Best))
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rankopt/internal/core"
+	"rankopt/internal/exec"
 	"rankopt/internal/plan"
 )
 
@@ -74,8 +75,9 @@ func TestAnalyzeWithTimesAddsTimings(t *testing.T) {
 	}
 }
 
-// TestAnalyzeOffLeavesNoCollector ensures plain sessions pay nothing: no
-// Analysis, no wrapped operators.
+// TestAnalyzeOffLeavesNoCollector ensures plain sessions return no Analysis:
+// every session runs under collectors, but only ANALYZE (or a trace) hands
+// them to the caller for rendering.
 func TestAnalyzeOffLeavesNoCollector(t *testing.T) {
 	eng := testEngine(t, core.Options{})
 	resp := eng.Run(Request{ID: "plain", SQL: "SELECT * FROM T1 LIMIT 3"})
@@ -124,5 +126,40 @@ func TestAnalyzeEmptyInput(t *testing.T) {
 	out := plan.FormatAnalyze(resp.Plan, resp.Analysis, false)
 	if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
 		t.Errorf("EXPLAIN ANALYZE rendered a degenerate estimate:\n%s", out)
+	}
+}
+
+// TestAnalyzePerTupleCompilesScalarReference: on a PerTupleExec engine an
+// ANALYZE session must run the same scalar reference executor as a plain
+// one, so its hash joins are compiled with the per-tuple build.
+func TestAnalyzePerTupleCompilesScalarReference(t *testing.T) {
+	eng := testEngineWithConfig(t, Config{PerTupleExec: true})
+	resp := eng.Run(Request{
+		SQL:     "SELECT * FROM T1, T2 WHERE T1.key = T2.key",
+		Analyze: true,
+	})
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	found := false
+	resp.Plan.Walk(func(n *plan.Node) {
+		if n.Op != plan.OpHashJoin {
+			return
+		}
+		found = true
+		a := resp.Analysis.Collector(n)
+		if a == nil {
+			t.Fatal("hash join has no stats collector")
+		}
+		hj, ok := a.In.(*exec.HashJoin)
+		if !ok {
+			t.Fatalf("hash join node compiled to %T", a.In)
+		}
+		if !hj.PerTupleBuild {
+			t.Error("ANALYZE on a PerTupleExec engine compiled the vectorized hash-join build")
+		}
+	})
+	if !found {
+		t.Fatalf("plan has no hash join; the test premise is gone:\n%s", plan.Explain(resp.Plan))
 	}
 }

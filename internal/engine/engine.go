@@ -195,10 +195,10 @@ type Request struct {
 	// ExplainOnly stops the session after planning: the Response carries
 	// the plan (and cache/optimizer counters) but no tuples.
 	ExplainOnly bool
-	// Analyze compiles the plan with per-operator stats collectors (EXPLAIN
-	// ANALYZE): the Response additionally carries an AnalyzedPlan mapping
-	// every plan node to its measured tuple counts, depths, and sampled wall
-	// times, renderable with plan.FormatAnalyze.
+	// Analyze requests EXPLAIN ANALYZE: the Response additionally carries
+	// the AnalyzedPlan every session compiles with, mapping each plan node
+	// to its measured tuple counts, depths, and sampled wall times,
+	// renderable with plan.FormatAnalyze.
 	Analyze bool
 	// Deadline, when non-zero, bounds the session's total wall time —
 	// admission wait included, so a query queued behind slow traffic times
@@ -590,55 +590,10 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 		}
 		e.met.observeShardFallback(shardFallbackNonShardable)
 	}
-	type tracedJoin struct {
-		node *plan.Node
-		op   exec.StatsReporter
-	}
-	// joins are the plan's rank joins (depth report + feedback); anyks are
-	// its any-k enumerators (histogram observation only — their drained-input
-	// "depths" would poison the rank-join depth feedback).
-	var joins, anyks []tracedJoin
-	var op exec.Operator
-	budget := exec.NewBudget(limits)
+	// Every session compiles under stats collectors; ANALYZE and tracing only
+	// decide whether the response carries them for rendering.
 	cs := tr.Begin("compile", "pipeline")
-	if req.Analyze || tr != nil {
-		// Analyze (and traced) sessions thread a stats collector between
-		// every operator; the wrappers forward StatsReporter, so the
-		// rank-join depth report below works identically in both modes, and
-		// traced sessions synthesize per-operator spans from the collectors.
-		op, resp.Analysis, err = plan.CompileAnalyzedLimited(e.cat, root, budget)
-		if err == nil {
-			root.Walk(func(n *plan.Node) {
-				a := resp.Analysis.Collector(n)
-				if a == nil {
-					return
-				}
-				if n.Op.IsRankJoin() {
-					joins = append(joins, tracedJoin{n, a})
-				} else if n.Op == plan.OpAnyK {
-					anyks = append(anyks, tracedJoin{n, a})
-				}
-			})
-		}
-	} else {
-		op, err = plan.CompileWith(e.cat, root, plan.Config{
-			Trace: func(n *plan.Node, o exec.Operator) {
-				sr, ok := o.(exec.StatsReporter)
-				if !ok {
-					return
-				}
-				if n.Op.IsRankJoin() {
-					joins = append(joins, tracedJoin{n, sr})
-				} else if n.Op == plan.OpAnyK {
-					anyks = append(anyks, tracedJoin{n, sr})
-				}
-			},
-			Budget: budget,
-			// PerTupleExec means the whole scalar reference executor, not just
-			// the drain: vectorized internal phases fall back too.
-			ScalarRef: e.perTuple,
-		})
-	}
+	op, ap, joins, err := e.compile(e.cat, root, exec.NewBudget(limits))
 	tr.End(cs)
 	if err != nil {
 		return fail(fmt.Errorf("engine: compile: %w", err))
@@ -655,8 +610,8 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	}
 	tr.AnnotateInt(es, "tuples", int64(len(tuples)))
 	tr.End(es)
-	if tr != nil && resp.Analysis != nil {
-		addOperatorSpans(tr, es, root, resp.Analysis, execStart)
+	if tr != nil {
+		addOperatorSpans(tr, es, root, ap, execStart)
 	}
 	if err != nil {
 		return fail(fmt.Errorf("engine: execute: %w", err))
@@ -667,39 +622,58 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	for i := 0; i < sch.Len(); i++ {
 		resp.Columns[i] = sch.Column(i).QualifiedName()
 	}
+	if req.Analyze || tr != nil {
+		resp.Analysis = ap
+	}
 	// Stats are read only after Collect closed the operators: the session
 	// owns the tree, so no other goroutine can observe partial stats. The
 	// estimated depths were annotated on the session's plan clone during
 	// instantiation (plan.AnnotateDepthHints).
-	for _, tj := range joins {
-		st := tj.op.Stats()
-		resp.RankJoins = append(resp.RankJoins, RankJoinStat{
-			Op:    tj.node.Op.String(),
-			Pred:  rankJoinPredLabel(tj.node),
-			Stats: st,
-			EstDL: tj.node.EstDL,
-			EstDR: tj.node.EstDR,
-		})
-		idx := histOpIndex(tj.node.Op)
-		e.met.observeOpDepth(idx, int64(st.LeftDepth))
-		e.met.observeOpDepth(idx, int64(st.RightDepth))
-	}
-	for _, tj := range anyks {
-		st := tj.op.Stats()
-		e.met.observeOpDepth(histOpAnyK, int64(st.LeftDepth))
-		e.met.observeOpDepth(histOpAnyK, int64(st.RightDepth))
-	}
-	if resp.Analysis != nil {
-		e.observeAnalyzedOps(root, resp.Analysis)
+	e.observeAnalyzedOps(root, ap)
+	for _, n := range joins {
+		resp.RankJoins = append(resp.RankJoins, rankJoinStat(n, ap, n.Op.String()))
 	}
 	if e.feedback != nil && len(joins) > 0 && resp.Fingerprint != "" {
 		demands := rankJoinDemands(root, float64(pi.k))
-		for _, tj := range joins {
-			e.observeDepths(resp.Fingerprint, tj.node, tj.op.Stats(), demands[tj.node])
+		for i, n := range joins {
+			e.observeDepths(resp.Fingerprint, n, resp.RankJoins[i].Stats, demands[n])
 		}
 	}
 	resp.Elapsed = time.Since(start)
 	return resp
+}
+
+// compile lowers one pipeline against cat under stats collectors, charging
+// budget. It returns the root operator, the node→collector mapping, and the
+// plan's rank joins in compile (bottom-up) order.
+func (e *Engine) compile(cat *catalog.Catalog, root *plan.Node, budget *exec.Budget) (exec.Operator, *plan.AnalyzedPlan, []*plan.Node, error) {
+	ap := plan.NewAnalyzedPlan()
+	var joins []*plan.Node
+	op, err := plan.CompileWith(cat, root, plan.Config{
+		Trace: func(n *plan.Node, o exec.Operator) {
+			ap.Record(n, o)
+			if n.Op.IsRankJoin() {
+				joins = append(joins, n)
+			}
+		},
+		Budget: budget,
+		// PerTupleExec means the whole scalar reference executor, not just
+		// the drain: vectorized internal phases fall back too.
+		ScalarRef: e.perTuple,
+	})
+	return op, ap, joins, err
+}
+
+// rankJoinStat reports rank join n's measured depths, read through its
+// collector in ap, against the optimizer's estimates, labeled op.
+func rankJoinStat(n *plan.Node, ap *plan.AnalyzedPlan, op string) RankJoinStat {
+	return RankJoinStat{
+		Op:    op,
+		Pred:  rankJoinPredLabel(n),
+		Stats: ap.Collector(n).Stats(),
+		EstDL: n.EstDL,
+		EstDR: n.EstDR,
+	}
 }
 
 // rankJoinDemands replays Algorithm Propagate over the executed plan to
@@ -790,25 +764,26 @@ func addOperatorSpans(tr *trace.Trace, parent int, root *plan.Node, ap *plan.Ana
 	walk(root, 0)
 }
 
-// observeAnalyzedOps folds an analyzed session's per-operator measurements
-// into the engine-wide histograms: wall time (Open plus the extrapolated
-// Next time) for every tracked operator type, plus the TopK sort's heap
-// high-water as its depth sample. Rank-join and any-k depths are observed
-// from the stats hook instead, which also covers untimed sessions.
+// observeAnalyzedOps folds one pipeline's per-operator measurements into the
+// engine-wide histograms: wall time (Open plus the extrapolated Next time)
+// for every tracked operator type, the per-input depths of rank joins and
+// any-k enumerators, and the TopK sort's heap high-water as its depth sample.
 func (e *Engine) observeAnalyzedOps(root *plan.Node, ap *plan.AnalyzedPlan) {
 	root.Walk(func(n *plan.Node) {
 		idx := histOpIndex(n.Op)
-		if idx < 0 {
+		a := ap.Collector(n)
+		if idx < 0 || a == nil {
 			return
 		}
-		st, ok := ap.Stats(n)
-		if !ok {
-			return
-		}
+		st := a.ExecStats()
 		e.met.observeOpLatency(idx, st.OpenNanos+st.EstNextNanos())
 		if idx == histOpTopK {
-			e.met.observeOpDepth(histOpTopK, st.MaxHeap)
+			e.met.observeOpDepth(idx, st.MaxHeap)
+			return
 		}
+		rj := a.Stats()
+		e.met.observeOpDepth(idx, int64(rj.LeftDepth))
+		e.met.observeOpDepth(idx, int64(rj.RightDepth))
 	})
 }
 

@@ -138,33 +138,3 @@ func TestConcurrentSessionsWithParallelOptimizer(t *testing.T) {
 		}
 	}
 }
-
-// TestPool exercises the long-lived serving front: submissions from many
-// goroutines, per-submission response channels, idempotent Close.
-func TestPool(t *testing.T) {
-	eng := testEngine(t, core.Options{})
-	pool := eng.NewPool(8)
-	reqs := testRequests(16, true)
-	chans := make([]<-chan Response, len(reqs))
-	for i, r := range reqs {
-		chans[i] = pool.Submit(r)
-	}
-	want := stripElapsed(eng.RunAll(reqs, 1))
-	for i, ch := range chans {
-		got := <-ch
-		got.Elapsed = 0
-		got.Plan = nil
-		got.CacheHit = false
-		ge, we := got.Err, want[i].Err
-		if (ge == nil) != (we == nil) {
-			t.Errorf("%s: err %v, want %v", reqs[i].ID, ge, we)
-			continue
-		}
-		got.Err, want[i].Err = nil, nil
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("%s: pooled response diverged from sequential run", reqs[i].ID)
-		}
-	}
-	pool.Close()
-	pool.Close() // idempotent
-}

@@ -211,8 +211,8 @@ type metrics struct {
 	greedyFallbacks [numGreedyReasons]atomic.Uint64
 
 	// opDepth / opLatency are the per-operator-type histograms: depths dug
-	// (every session, via the rank-join stats hook) and operator wall time
-	// (analyzed/traced sessions, which are the only ones that measure it).
+	// and operator wall time, observed from the stats collectors every
+	// session compiles with.
 	opDepth   [numHistOps]opHist
 	opLatency [numHistOps]opHist
 
@@ -421,7 +421,7 @@ type Metrics struct {
 // OperatorMetrics summarizes one operator type's histograms: how deep it
 // dug (depth samples: per-input tuples consumed for rank joins and any-k,
 // heap high-water for TopK, tuples pulled for ShardMerge) and how long it
-// ran (from analyzed/traced sessions, the only ones that time operators).
+// ran (every session times its operators).
 type OperatorMetrics struct {
 	Op               string  `json:"op"`
 	DepthCount       uint64  `json:"depth_count"`

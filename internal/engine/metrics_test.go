@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"rankopt/internal/core"
+	"rankopt/internal/plan"
 )
 
 // TestSnapshotCountsSessions runs a mixed batch (including deliberate parse
@@ -135,5 +137,26 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	}
 	if len(m.LatencyBuckets) != numLatencyBuckets {
 		t.Errorf("/debug/engine has %d latency buckets, want %d", len(m.LatencyBuckets), numLatencyBuckets)
+	}
+}
+
+// TestPlainSessionTimesOperators pins that the per-operator latency
+// histogram covers all traffic: one plain session — no ANALYZE, no trace —
+// must land one raqo_operator_latency_seconds sample per rank join it ran.
+func TestPlainSessionTimesOperators(t *testing.T) {
+	eng := testEngine(t, core.Options{})
+	resp := eng.Run(Request{SQL: testRequests(1, false)[0].SQL})
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	joins := resp.Plan.CountOps(plan.OpHRJN)
+	if joins == 0 {
+		t.Fatalf("plan has no HRJN; the test premise is gone:\n%s", plan.Explain(resp.Plan))
+	}
+	rec := httptest.NewRecorder()
+	eng.DebugMux().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	want := fmt.Sprintf("raqo_operator_latency_seconds_count{op=\"HRJN\"} %d\n", joins)
+	if !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("/metrics missing %q in:\n%s", want, rec.Body.String())
 	}
 }

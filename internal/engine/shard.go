@@ -161,25 +161,17 @@ func shardCeiling(sc *catalog.Catalog, score expr.ScoreSum) float64 {
 }
 
 // runSharded executes the session on the sharded tier: one plan clone
-// rebound and compiled per shard (all charging the session's shared budget),
-// gathered by a ShardMerge whose start width is Config.ShardWidth. Analyze
-// sessions compile every shard pipeline under stats collectors and fill the
-// response's ShardAnalysis; traced sessions additionally get one Chrome lane
-// per shard worker synthesized from the coordinator's per-shard records. It
-// fills the response's tuples, columns, and shard statistics.
+// rebound and compiled per shard under stats collectors (all charging the
+// session's shared budget), gathered by a ShardMerge whose start width is
+// Config.ShardWidth. Every shard pipeline feeds the operator histograms;
+// Analyze and traced sessions also get the response's ShardAnalysis and
+// per-shard rank-join rows, and traced sessions one Chrome lane per shard
+// worker synthesized from the coordinator's per-shard records. It fills the
+// response's tuples, columns, and shard statistics.
 func (e *Engine) runSharded(ctx context.Context, resp *Response, root *plan.Node, k int, budget *exec.Budget, analyze bool, tr *trace.Trace, prog *exec.Progress) error {
 	score := root.Input().Score
-	collect := analyze || tr != nil
-	type shardJoin struct {
-		shard int
-		node  *plan.Node
-		op    exec.StatsReporter
-	}
-	// joins feed the depth histograms and (analyzed) the per-shard depth
-	// report; anyks only feed histograms — their drained-input depths must
-	// stay out of the rank-join feedback path.
-	var joins, anyks []shardJoin
-	var runs []plan.ShardRun
+	runs := make([]plan.ShardRun, len(e.shards))
+	joins := make([][]*plan.Node, len(e.shards))
 	inputs := make([]exec.ShardInput, len(e.shards))
 	cs := tr.Begin("compile", "pipeline")
 	for i, sc := range e.shards {
@@ -188,47 +180,13 @@ func (e *Engine) runSharded(ctx context.Context, resp *Response, root *plan.Node
 			tr.End(cs)
 			return fmt.Errorf("engine: shard %d: %w", i, err)
 		}
-		var op exec.Operator
-		var err error
-		shard := i
-		if collect {
-			var ap *plan.AnalyzedPlan
-			op, ap, err = plan.CompileAnalyzedLimited(sc, clone, budget)
-			if err == nil {
-				runs = append(runs, plan.ShardRun{Shard: shard, Root: clone, Analysis: ap})
-				clone.Walk(func(n *plan.Node) {
-					a := ap.Collector(n)
-					if a == nil {
-						return
-					}
-					if n.Op.IsRankJoin() {
-						joins = append(joins, shardJoin{shard, n, a})
-					} else if n.Op == plan.OpAnyK {
-						anyks = append(anyks, shardJoin{shard, n, a})
-					}
-				})
-			}
-		} else {
-			op, err = plan.CompileWith(sc, clone, plan.Config{
-				Trace: func(n *plan.Node, o exec.Operator) {
-					sr, ok := o.(exec.StatsReporter)
-					if !ok {
-						return
-					}
-					if n.Op.IsRankJoin() {
-						joins = append(joins, shardJoin{shard, n, sr})
-					} else if n.Op == plan.OpAnyK {
-						anyks = append(anyks, shardJoin{shard, n, sr})
-					}
-				},
-				Budget:    budget,
-				ScalarRef: e.perTuple,
-			})
-		}
+		op, ap, js, err := e.compile(sc, clone, budget)
 		if err != nil {
 			tr.End(cs)
 			return fmt.Errorf("engine: shard %d compile: %w", i, err)
 		}
+		runs[i] = plan.ShardRun{Shard: i, Root: clone, Analysis: ap}
+		joins[i] = js
 		inputs[i] = exec.ShardInput{Op: op, Ceiling: shardCeiling(sc, score)}
 	}
 	tr.End(cs)
@@ -261,31 +219,17 @@ func (e *Engine) runSharded(ctx context.Context, resp *Response, root *plan.Node
 	for i := 0; i < sch.Len(); i++ {
 		resp.Columns[i] = sch.Column(i).QualifiedName()
 	}
-	if collect {
-		resp.ShardAnalysis = &plan.ShardedAnalysis{Stats: st, Shards: runs}
-	}
-	for _, sj := range joins {
-		jst := sj.op.Stats()
-		idx := histOpIndex(sj.node.Op)
-		e.met.observeOpDepth(idx, int64(jst.LeftDepth))
-		e.met.observeOpDepth(idx, int64(jst.RightDepth))
-		if collect {
-			resp.RankJoins = append(resp.RankJoins, RankJoinStat{
-				Op:    fmt.Sprintf("%s[shard %d]", sj.node.Op.String(), sj.shard),
-				Pred:  rankJoinPredLabel(sj.node),
-				Stats: jst,
-				EstDL: sj.node.EstDL,
-				EstDR: sj.node.EstDR,
-			})
-		}
-	}
-	for _, sj := range anyks {
-		ast := sj.op.Stats()
-		e.met.observeOpDepth(histOpAnyK, int64(ast.LeftDepth))
-		e.met.observeOpDepth(histOpAnyK, int64(ast.RightDepth))
-	}
 	for _, r := range runs {
 		e.observeAnalyzedOps(r.Root, r.Analysis)
+	}
+	if analyze || tr != nil {
+		resp.ShardAnalysis = &plan.ShardedAnalysis{Stats: st, Shards: runs}
+		for i, r := range runs {
+			for _, n := range joins[i] {
+				label := fmt.Sprintf("%s[shard %d]", n.Op.String(), r.Shard)
+				resp.RankJoins = append(resp.RankJoins, rankJoinStat(n, r.Analysis, label))
+			}
+		}
 	}
 	e.met.observeSharded(&st, execNanos)
 	return nil

@@ -225,7 +225,7 @@ func TestAnyKStatsAndGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-open to inspect gauges before Close wipes state.
-	if err := j.Open(); err != nil {
+	if err := j.OpenCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := j.Next(); err != nil {
@@ -355,7 +355,7 @@ func TestAnyKDepthExceeded(t *testing.T) {
 // room for growth spikes while catching any regression to boxed solutions.
 func TestAnyKPopAllocs(t *testing.T) {
 	_, j := anykFixture(t, 3, 1500, 0.05, 1500)
-	if err := j.Open(); err != nil {
+	if err := j.OpenCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()

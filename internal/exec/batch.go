@@ -179,11 +179,9 @@ type tupleBatcher struct {
 
 func (t *tupleBatcher) Schema() *relation.Schema { return t.op.Schema() }
 
-func (t *tupleBatcher) Open() error { return t.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, retaining ctx for the fill loop's polls.
+// OpenCtx implements Operator, retaining ctx for the fill loop's polls.
 func (t *tupleBatcher) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, t.op); err != nil {
+	if err := t.op.OpenCtx(ctx); err != nil {
 		return err
 	}
 	t.src.reset(ctx, t.op)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -16,8 +17,8 @@ type lifecycleOp struct {
 	opens, closes int
 }
 
-func (l *lifecycleOp) Open() error  { l.opens++; return l.Operator.Open() }
-func (l *lifecycleOp) Close() error { l.closes++; return l.Operator.Close() }
+func (l *lifecycleOp) OpenCtx(ctx context.Context) error { l.opens++; return l.Operator.OpenCtx(ctx) }
+func (l *lifecycleOp) Close() error                      { l.closes++; return l.Operator.Close() }
 
 func (l *lifecycleOp) balanced() bool { return l.opens == l.closes }
 
@@ -25,8 +26,8 @@ func (l *lifecycleOp) balanced() bool { return l.opens == l.closes }
 // whose materialization (Collect) fails inside a parent's Open.
 type nextErrOp struct{ schema *relation.Schema }
 
-func (n nextErrOp) Schema() *relation.Schema { return n.schema }
-func (n nextErrOp) Open() error              { return nil }
+func (n nextErrOp) Schema() *relation.Schema      { return n.schema }
+func (n nextErrOp) OpenCtx(context.Context) error { return nil }
 func (n nextErrOp) Next() (relation.Tuple, bool, error) {
 	return nil, false, errors.New("next boom")
 }
@@ -86,9 +87,6 @@ func TestOpenFailureClosesOpenedChildren(t *testing.T) {
 		{"smj-bind-fails", func(c ...*lifecycleOp) Operator {
 			return NewSortMergeJoin(c[0], c[1], badCol, key, nil)
 		}, 2},
-		{"shj-bind-fails", func(c ...*lifecycleOp) Operator {
-			return NewSymmetricHashJoin(c[0], c[1], badCol, key, nil)
-		}, 2},
 		{"hashagg-drain-fails", func(c ...*lifecycleOp) Operator {
 			return NewHashAggregate(nextErrOp{schema: rel.Schema()}, nil,
 				[]AggSpec{{Func: AggCount, As: "c"}})
@@ -100,7 +98,7 @@ func TestOpenFailureClosesOpenedChildren(t *testing.T) {
 			children[i] = track()
 		}
 		op := tc.build(children...)
-		if err := op.Open(); err == nil {
+		if err := op.OpenCtx(context.Background()); err == nil {
 			t.Errorf("%s: Open unexpectedly succeeded", tc.name)
 			_ = op.Close()
 			continue
@@ -134,7 +132,7 @@ func TestMultiHRJNOpenFailureClosesOpenedInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Open(); err == nil {
+	if err := j.OpenCtx(context.Background()); err == nil {
 		t.Fatal("Open unexpectedly succeeded")
 	}
 	if !c0.balanced() || !c1.balanced() {
@@ -148,7 +146,7 @@ func TestMultiHRJNOpenFailureClosesOpenedInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Open(); err == nil {
+	if err := j.OpenCtx(context.Background()); err == nil {
 		t.Fatal("Open with unbindable score unexpectedly succeeded")
 	}
 	if !c0.balanced() || !c1.balanced() {

@@ -1,10 +1,10 @@
 // Package exec implements the engine's physical operators in the Volcano
-// (iterator) style: every operator exposes Open/Next/Close and produces
+// (iterator) style: every operator exposes OpenCtx/Next/Close and produces
 // tuples of a fixed schema. The package contains the classic relational
 // operators (scans, filter, project, sort, limit, nested-loops / index /
-// sort-merge / hash / symmetric-hash joins) and the paper's rank-join
-// operators HRJN and NRJN, instrumented so experiments can measure the
-// depths (input cardinalities) and buffer sizes the optimizer estimates.
+// sort-merge / hash joins) and the paper's rank-join operators HRJN and
+// NRJN, instrumented so experiments can measure the depths (input
+// cardinalities) and buffer sizes the optimizer estimates.
 package exec
 
 import (
@@ -19,38 +19,22 @@ import (
 type Operator interface {
 	// Schema describes the tuples produced by Next.
 	Schema() *relation.Schema
-	// Open prepares the operator (recursively opening children). When Open
-	// returns an error the operator has already closed every child it
-	// managed to open; callers must not Close a failed operator.
-	Open() error
+	// OpenCtx prepares the operator under the query context (recursively
+	// opening children with the same ctx). Blocking work — materialization,
+	// hash build — polls ctx on the cancelCheckPeriod cadence, and operators
+	// that loop in Next retain ctx for polling there. When OpenCtx returns an
+	// error the operator has already closed every child it managed to open;
+	// callers must not Close a failed operator.
+	OpenCtx(ctx context.Context) error
 	// Next returns the next tuple; ok=false signals exhaustion.
 	Next() (t relation.Tuple, ok bool, err error)
 	// Close releases resources (recursively closing children).
 	Close() error
 }
 
-// OperatorCtx is the context-aware open path: operators that buffer, loop,
-// or forward to children implement it so a query context (cancellation,
-// deadline) reaches the whole tree. Plain Operator implementations keep
-// working through the OpenOp shim.
-type OperatorCtx interface {
-	Operator
-	// OpenCtx behaves like Open under the given query context: blocking work
-	// (materialization, hash build) polls ctx on the cancelCheckPeriod
-	// cadence, and the context is retained for Next-time polling. The
-	// Open-failure contract is unchanged: children are already closed.
-	OpenCtx(ctx context.Context) error
-}
-
-// OpenOp opens op under ctx, falling back to the context-free Open for
-// operators that never implemented OpenCtx — the compatibility shim that
-// lets context-aware parents treat every child uniformly.
-func OpenOp(ctx context.Context, op Operator) error {
-	if oc, ok := op.(OperatorCtx); ok {
-		return oc.OpenCtx(ctx)
-	}
-	return op.Open()
-}
+// OpenOp opens op under ctx. It is op.OpenCtx(ctx), kept as a function for
+// external drivers that open a tree they did not build.
+func OpenOp(ctx context.Context, op Operator) error { return op.OpenCtx(ctx) }
 
 // closeQuietly closes already-opened children on an Open failure path. The
 // Open error takes precedence, so Close errors are discarded.
@@ -70,17 +54,16 @@ func Collect(op Operator) ([]relation.Tuple, error) {
 }
 
 // CollectCtx collects like Collect under a query context: the tree is opened
-// through OpenOp so every context-aware operator sees ctx, and the drain
-// pulls batch-at-a-time — vectorized roots are drained natively, per-tuple
-// roots through the shim (which polls ctx on the canceller cadence), with
-// one context check per batch either way. On any failure — including
+// under ctx, and the drain pulls batch-at-a-time — vectorized roots are
+// drained natively, per-tuple roots through the shim (which polls ctx on the
+// canceller cadence), with one context check per batch either way. On any failure — including
 // cancellation — the tree is closed before returning, so a cancelled query
 // never leaks goroutines, pooled buffers, or open state.
 func CollectCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := OpenOp(ctx, op); err != nil {
+	if err := op.OpenCtx(ctx); err != nil {
 		return nil, err
 	}
 	var out []relation.Tuple
@@ -117,7 +100,7 @@ func CollectPerTupleCtx(ctx context.Context, op Operator) ([]relation.Tuple, err
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := OpenOp(ctx, op); err != nil {
+	if err := op.OpenCtx(ctx); err != nil {
 		return nil, err
 	}
 	var out []relation.Tuple
@@ -152,7 +135,7 @@ func DrainCtx(ctx context.Context, op Operator) (int, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	if err := OpenOp(ctx, op); err != nil {
+	if err := op.OpenCtx(ctx); err != nil {
 		return 0, err
 	}
 	n := 0
@@ -186,7 +169,7 @@ func DrainPerTupleCtx(ctx context.Context, op Operator) (int, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	if err := OpenOp(ctx, op); err != nil {
+	if err := op.OpenCtx(ctx); err != nil {
 		return 0, err
 	}
 	n := 0
@@ -220,8 +203,7 @@ func CollectK(op Operator, k int) ([]relation.Tuple, error) {
 }
 
 // CollectKCtx collects like CollectK under a query context: the tree is
-// opened through OpenOp so every context-aware operator sees ctx, and the
-// drain loop polls ctx on the canceller cadence. It pulls one tuple per Next
+// opened under ctx, and the drain loop polls ctx on the canceller cadence. It pulls one tuple per Next
 // on purpose — pulling batch-granular here would overpull lazy rank-join
 // roots past k, destroying exactly the early termination top-k callers use
 // CollectK for.
@@ -229,7 +211,7 @@ func CollectKCtx(ctx context.Context, op Operator, k int) ([]relation.Tuple, err
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := OpenOp(ctx, op); err != nil {
+	if err := op.OpenCtx(ctx); err != nil {
 		return nil, err
 	}
 	var out []relation.Tuple
@@ -272,13 +254,11 @@ func NewCounter(in Operator) *Counter { return &Counter{In: in} }
 // Schema implements Operator.
 func (c *Counter) Schema() *relation.Schema { return c.In.Schema() }
 
-// Open implements Operator; it resets the count.
-func (c *Counter) Open() error { return c.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to the input.
+// OpenCtx implements Operator, forwarding the context to the input; it
+// resets the count.
 func (c *Counter) OpenCtx(ctx context.Context) error {
 	c.count = 0
-	if err := OpenOp(ctx, c.In); err != nil {
+	if err := c.In.OpenCtx(ctx); err != nil {
 		return err
 	}
 	c.src.reset(ctx, c.In)
@@ -316,7 +296,7 @@ type errOp struct{ err error }
 func ErrOperator(msg string) Operator { return errOp{fmt.Errorf("%s", msg)} }
 
 func (e errOp) Schema() *relation.Schema            { return relation.NewSchema() }
-func (e errOp) Open() error                         { return e.err }
+func (e errOp) OpenCtx(context.Context) error       { return e.err }
 func (e errOp) Next() (relation.Tuple, bool, error) { return nil, false, e.err }
 func (e errOp) Close() error                        { return nil }
 
@@ -333,9 +313,9 @@ func FromTuples(schema *relation.Schema, tuples []relation.Tuple) Operator {
 	return &sliceOp{schema: schema, tuples: tuples}
 }
 
-func (s *sliceOp) Schema() *relation.Schema { return s.schema }
-func (s *sliceOp) Open() error              { s.pos = 0; return nil }
-func (s *sliceOp) Close() error             { return nil }
+func (s *sliceOp) Schema() *relation.Schema      { return s.schema }
+func (s *sliceOp) OpenCtx(context.Context) error { s.pos = 0; return nil }
+func (s *sliceOp) Close() error                  { return nil }
 
 func (s *sliceOp) Next() (relation.Tuple, bool, error) {
 	if s.pos >= len(s.tuples) {

@@ -96,16 +96,12 @@ func Analyze(op Operator) *Analyzed { return &Analyzed{In: op} }
 // Schema implements Operator.
 func (a *Analyzed) Schema() *relation.Schema { return a.In.Schema() }
 
-// Open implements Operator. A failed Open has, per the Operator contract,
-// already closed whatever the inner operator opened, so the wrapper only
-// records and propagates.
-func (a *Analyzed) Open() error { return a.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx: the context reaches the wrapped operator
-// even under EXPLAIN ANALYZE.
+// OpenCtx implements Operator: the context reaches the wrapped operator. A
+// failed open has, per the Operator contract, already closed whatever the
+// inner operator opened, so the wrapper only records and propagates.
 func (a *Analyzed) OpenCtx(ctx context.Context) error {
 	start := time.Now()
-	err := OpenOp(ctx, a.In)
+	err := a.In.OpenCtx(ctx)
 	a.stats.OpenNanos += time.Since(start).Nanoseconds()
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"rankopt/internal/catalog"
@@ -33,8 +34,8 @@ func NewIndexRangeScan(rel *relation.Relation, idx *catalog.Index, lo, hi relati
 // Schema implements Operator.
 func (s *IndexRangeScan) Schema() *relation.Schema { return s.Rel.Schema() }
 
-// Open implements Operator.
-func (s *IndexRangeScan) Open() error {
+// OpenCtx implements Operator.
+func (s *IndexRangeScan) OpenCtx(context.Context) error {
 	if s.Idx == nil || s.Idx.Tree == nil {
 		return fmt.Errorf("exec: index range scan without index on %s", s.Rel.Name)
 	}

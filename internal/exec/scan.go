@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"rankopt/internal/catalog"
@@ -19,8 +20,8 @@ func NewSeqScan(rel *relation.Relation) *SeqScan { return &SeqScan{Rel: rel} }
 // Schema implements Operator.
 func (s *SeqScan) Schema() *relation.Schema { return s.Rel.Schema() }
 
-// Open implements Operator.
-func (s *SeqScan) Open() error { s.pos = 0; return nil }
+// OpenCtx implements Operator.
+func (s *SeqScan) OpenCtx(context.Context) error { s.pos = 0; return nil }
 
 // Next implements Operator.
 func (s *SeqScan) Next() (relation.Tuple, bool, error) {
@@ -73,8 +74,8 @@ func NewIndexScan(rel *relation.Relation, idx *catalog.Index, desc bool) *IndexS
 // Schema implements Operator.
 func (s *IndexScan) Schema() *relation.Schema { return s.Rel.Schema() }
 
-// Open implements Operator.
-func (s *IndexScan) Open() error {
+// OpenCtx implements Operator.
+func (s *IndexScan) OpenCtx(context.Context) error {
 	if s.Idx == nil || s.Idx.Tree == nil {
 		return fmt.Errorf("exec: index scan without index on %s", s.Rel.Name)
 	}

@@ -81,6 +81,15 @@ type ShardScatter struct {
 	done    chan ShardMsg
 	cancels []context.CancelFunc
 	wg      sync.WaitGroup
+	// held are Done messages that arrived ahead of tuples still buffered
+	// (consumer-side state; see RecvCtx).
+	held []heldDone
+}
+
+// heldDone is a Done message waiting for after more tuple deliveries.
+type heldDone struct {
+	msg   ShardMsg
+	after int
 }
 
 // NewShardScatter prepares a scatter over the inputs with a tuple buffer of
@@ -116,7 +125,7 @@ func (s *ShardScatter) Start(ctx context.Context, i int) {
 // tuples. The worker closes the pipeline on every exit path.
 func (s *ShardScatter) drain(ctx context.Context, i int) error {
 	op := s.inputs[i].Op
-	if err := OpenOp(ctx, op); err != nil {
+	if err := op.OpenCtx(ctx); err != nil {
 		return err
 	}
 	for {
@@ -143,39 +152,54 @@ func (s *ShardScatter) drain(ctx context.Context, i int) error {
 	}
 }
 
-// Recv returns the next message across all started shards. Tuple messages of
-// a shard are delivered before its Done message.
+// Recv is RecvCtx without a context to abort on.
 func (s *ShardScatter) Recv() ShardMsg {
-	// Bias toward tuples so a shard's queued output is consumed before its
-	// completion is observed; once its tuple stream is empty, take the done.
-	select {
-	case m := <-s.tuples:
-		return m
-	default:
-	}
-	select {
-	case m := <-s.tuples:
-		return m
-	case m := <-s.done:
-		return m
+	m, _ := s.RecvCtx(context.Background())
+	return m
+}
+
+// RecvCtx returns the next message across all started shards, or ctx's typed
+// error once ctx is done. Tuple messages of a shard are delivered before its
+// Done message. A worker enqueues its last tuple before it reports Done, so
+// when a Done arrives while n tuples are still buffered, the shard's
+// remaining tuples are among those n: the Done is held back until n more
+// tuples have been delivered.
+func (s *ShardScatter) RecvCtx(ctx context.Context) (ShardMsg, error) {
+	for {
+		if len(s.held) > 0 && s.held[0].after == 0 {
+			m := s.held[0].msg
+			s.held = s.held[1:]
+			return m, nil
+		}
+		// Bias toward tuples so queued output is consumed before completions.
+		select {
+		case m := <-s.tuples:
+			s.delivered()
+			return m, nil
+		default:
+		}
+		select {
+		case m := <-s.tuples:
+			s.delivered()
+			return m, nil
+		case m := <-s.done:
+			if n := len(s.tuples); n > 0 {
+				s.held = append(s.held, heldDone{msg: m, after: n})
+				continue
+			}
+			return m, nil
+		case <-ctx.Done():
+			return ShardMsg{}, CtxErr(ctx)
+		}
 	}
 }
 
-// RecvCtx is Recv that also aborts when ctx is done, returning its typed
-// error instead of a message.
-func (s *ShardScatter) RecvCtx(ctx context.Context) (ShardMsg, error) {
-	select {
-	case m := <-s.tuples:
-		return m, nil
-	default:
-	}
-	select {
-	case m := <-s.tuples:
-		return m, nil
-	case m := <-s.done:
-		return m, nil
-	case <-ctx.Done():
-		return ShardMsg{}, CtxErr(ctx)
+// delivered counts one tuple delivery against every held Done.
+func (s *ShardScatter) delivered() {
+	for i := range s.held {
+		if s.held[i].after > 0 {
+			s.held[i].after--
+		}
 	}
 }
 
@@ -377,14 +401,11 @@ func NewShardMerge(inputs []ShardInput, k int, budget *Budget) (*ShardMerge, err
 // Schema implements Operator.
 func (m *ShardMerge) Schema() *relation.Schema { return m.schema }
 
-// Open implements Operator.
-func (m *ShardMerge) Open() error { return m.OpenCtx(context.Background()) }
-
 // Stats returns the coordinator's counters for the last gather. Valid after
 // OpenCtx returns (the gather is blocking), including after Close.
 func (m *ShardMerge) Stats() ShardMergeStats { return m.stats }
 
-// OpenCtx implements OperatorCtx: the whole scatter-gather runs here. On
+// OpenCtx implements Operator: the whole scatter-gather runs here. On
 // error, every started shard worker has already closed its pipeline and been
 // joined, and pending shards were never opened — the Operator contract's
 // Open-failure guarantee, extended across goroutines.

@@ -51,8 +51,12 @@ type descendingForever struct {
 }
 
 func (d *descendingForever) Schema() *relation.Schema { return shardSchema() }
-func (d *descendingForever) Open() error              { d.opens.Add(1); d.next = d.start; return nil }
-func (d *descendingForever) Close() error             { d.closes.Add(1); return nil }
+func (d *descendingForever) OpenCtx(context.Context) error {
+	d.opens.Add(1)
+	d.next = d.start
+	return nil
+}
+func (d *descendingForever) Close() error { d.closes.Add(1); return nil }
 func (d *descendingForever) Next() (relation.Tuple, bool, error) {
 	n := d.emitted.Add(1)
 	s := d.next
@@ -230,7 +234,7 @@ func TestShardMergeMonotonicViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	openErr := m.Open()
+	openErr := m.OpenCtx(context.Background())
 	if openErr == nil || !strings.Contains(openErr.Error(), "descend") {
 		t.Fatalf("Open = %v, want monotonicity error", openErr)
 	}
@@ -252,7 +256,7 @@ func TestShardMergeNaNScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	openErr := m.Open()
+	openErr := m.OpenCtx(context.Background())
 	var ov *ranking.OrderViolationError
 	if !errors.As(openErr, &ov) {
 		t.Fatalf("Open = %v, want wrapped *ranking.OrderViolationError", openErr)
@@ -276,7 +280,7 @@ func TestShardMergeWorkerError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Open(); !errors.Is(err, boom) {
+	if err := m.OpenCtx(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("Open = %v, want %v", err, boom)
 	}
 	if weak.opens.Load() != weak.closes.Load() {
@@ -292,9 +296,9 @@ type errAfterOp struct {
 	n      int
 }
 
-func (e *errAfterOp) Schema() *relation.Schema { return e.schema }
-func (e *errAfterOp) Open() error              { e.n = 0; return nil }
-func (e *errAfterOp) Close() error             { return nil }
+func (e *errAfterOp) Schema() *relation.Schema      { return e.schema }
+func (e *errAfterOp) OpenCtx(context.Context) error { e.n = 0; return nil }
+func (e *errAfterOp) Close() error                  { return nil }
 func (e *errAfterOp) Next() (relation.Tuple, bool, error) {
 	if e.n >= e.after {
 		return nil, false, e.err
@@ -352,7 +356,7 @@ func TestShardMergeCloseAfterPartialRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Open(); err != nil {
+	if err := m.OpenCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := m.Next(); err != nil || !ok {
@@ -375,7 +379,7 @@ func TestShardMergeBudgetExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Open(); !errors.Is(err, ErrBudgetExceeded) {
+	if err := m.OpenCtx(context.Background()); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("Open = %v, want ErrBudgetExceeded", err)
 	}
 	if got := budget.Buffered(); got != 0 {
@@ -456,5 +460,49 @@ func TestShardScatterStopLatency(t *testing.T) {
 	s.Wait()
 	if tuples1 != 3 {
 		t.Fatalf("surviving shard delivered %d tuples, want 3", tuples1)
+	}
+}
+
+// TestShardScatterTuplesPrecedeDone stresses the per-shard ordering contract
+// of Recv and RecvCtx: every tuple a shard emits arrives before that shard's
+// Done, even when a worker enqueues its last tuple and its Done while the
+// consumer sits between its two selects.
+func TestShardScatterTuplesPrecedeDone(t *testing.T) {
+	const shards, perShard, rounds = 8, 2, 4000
+	ctx := context.Background()
+	for r := 0; r < rounds; r++ {
+		inputs := make([]ShardInput, shards)
+		for i := range inputs {
+			inputs[i] = ShardInput{Op: shardStream(i*perShard, 2, 1), Ceiling: math.Inf(1)}
+		}
+		s := NewShardScatter(inputs, shards*perShard)
+		for i := range inputs {
+			s.Start(ctx, i)
+		}
+		got := make([]int, shards)
+		for done := 0; done < shards; {
+			var m ShardMsg
+			if r%2 == 0 {
+				m = s.Recv()
+			} else {
+				var err error
+				if m, err = s.RecvCtx(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !m.Done {
+				got[m.Shard]++
+				continue
+			}
+			if m.Err != nil {
+				t.Fatalf("round %d shard %d: %v", r, m.Shard, m.Err)
+			}
+			if got[m.Shard] != perShard {
+				t.Fatalf("round %d: shard %d reported Done after %d of its %d tuples",
+					r, m.Shard, got[m.Shard], perShard)
+			}
+			done++
+		}
+		s.Wait()
 	}
 }

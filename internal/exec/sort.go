@@ -45,13 +45,10 @@ func NewSortByScore(in Operator, score expr.Expr) *Sort {
 // Schema implements Operator.
 func (s *Sort) Schema() *relation.Schema { return s.In.Schema() }
 
-// Open implements Operator: drains the input and sorts.
-func (s *Sort) Open() error { return s.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx: the blocking drain polls the context on
+// OpenCtx implements Operator: the blocking drain polls the context on
 // the sampling cadence and charges the budget per buffered tuple.
 func (s *Sort) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, s.In); err != nil {
+	if err := s.In.OpenCtx(ctx); err != nil {
 		return err
 	}
 	if err := s.load(ctx); err != nil {

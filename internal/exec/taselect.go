@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"rankopt/internal/catalog"
@@ -107,8 +108,8 @@ func (s *taSource) Probe(id int64) (float64, bool) {
 	return v.AsFloat(), true
 }
 
-// Open implements Operator: runs TA, materializes the joined top-k rows.
-func (t *TASelect) Open() error {
+// OpenCtx implements Operator: runs TA, materializes the joined top-k rows.
+func (t *TASelect) OpenCtx(context.Context) error {
 	maxK := 0
 	for _, in := range t.Inputs {
 		if c := in.Rel.Cardinality(); c > maxK {

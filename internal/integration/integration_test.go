@@ -78,7 +78,7 @@ func optimizedScores(t *testing.T, cat *catalog.Catalog, q *logical.Query, opts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := plan.Compile(cat, res.Best)
+	op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, plan.Explain(res.Best))
 	}
@@ -206,7 +206,7 @@ func TestFuzzGroupedQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := plan.Compile(cat, res.Best)
+		op, err := plan.CompileWith(cat, res.Best, plan.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func RunAnyK(c Case) (AnyKReport, error) {
 			continue
 		}
 		anyk++
-		op, err := plan.Compile(c.cat, root)
+		op, err := plan.CompileWith(c.cat, root, plan.Config{})
 		if err != nil {
 			return AnyKReport{}, fmt.Errorf("seed %d anyk plan %d: compile: %w\n%s", c.Seed, pi, err, plan.Explain(root))
 		}

@@ -114,7 +114,7 @@ func TestAnyKWinsPlanChoice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			op, err := plan.Compile(c.cat, res.Best)
+			op, err := plan.CompileWith(c.cat, res.Best, plan.Config{})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}

@@ -237,7 +237,7 @@ func Run(c Case) (Report, error) {
 		// internals (interface-keyed hash-join build), so this also
 		// differentially tests the open-addressing numeric table against an
 		// independent implementation on every generated plan.
-		op, err := plan.Compile(c.cat, root)
+		op, err := plan.CompileWith(c.cat, root, plan.Config{})
 		if err != nil {
 			return Report{}, fmt.Errorf("seed %d plan %d: compile: %w\n%s", c.Seed, pi, err, plan.Explain(root))
 		}
@@ -275,7 +275,7 @@ func Run(c Case) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("seed %d: greedy optimize %q: %w", c.Seed, c.SQL, err)
 	}
-	gop, err := plan.Compile(c.cat, gres.Best)
+	gop, err := plan.CompileWith(c.cat, gres.Best, plan.Config{})
 	if err != nil {
 		return Report{}, fmt.Errorf("seed %d: greedy compile: %w\n%s", c.Seed, err, plan.Explain(gres.Best))
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // ShardRun pairs one shard's rebound plan clone with the stats collectors
-// its pipeline executed under. The engine builds one per shard when an
-// Analyze (or traced) session runs on the scatter-gather tier.
+// its pipeline executed under. The engine builds one per shard for every
+// session on the scatter-gather tier.
 type ShardRun struct {
 	Shard    int
 	Root     *Node

@@ -204,7 +204,7 @@ func TestCompileAndRunHRJNPlan(t *testing.T) {
 	j := e.hrjn(e.scoreScan(t, "T1"), e.scoreScan(t, "T2"), "T1", "T2")
 	limit := &Node{Op: OpLimit, Children: []*Node{j}, K: 10, Card: 10, P: &params,
 		Props: j.Props}
-	op, err := Compile(e.cat, limit)
+	op, err := CompileWith(e.cat, limit, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestCompileSortPlan(t *testing.T) {
 		P:        &params,
 		Props:    Props{Order: RankOrder("T1", "T2")},
 	}
-	op, err := Compile(e.cat, sortNode)
+	op, err := CompileWith(e.cat, sortNode, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,15 +283,15 @@ func TestCompileSortPlan(t *testing.T) {
 func TestCompileErrors(t *testing.T) {
 	e := newEnv(t, 1, 10, 0.1)
 	bad := &Node{Op: OpSeqScan, Table: "ZZ", P: &params}
-	if _, err := Compile(e.cat, bad); err == nil {
+	if _, err := CompileWith(e.cat, bad, Config{}); err == nil {
 		t.Error("unknown table must fail")
 	}
 	noIdx := &Node{Op: OpIndexScan, Table: "T1", P: &params}
-	if _, err := Compile(e.cat, noIdx); err == nil {
+	if _, err := CompileWith(e.cat, noIdx, Config{}); err == nil {
 		t.Error("index scan without index must fail")
 	}
 	noKey := &Node{Op: OpHashJoin, Children: []*Node{e.seqScan("T1"), e.seqScan("T1")}, P: &params}
-	if _, err := Compile(e.cat, noKey); err == nil {
+	if _, err := CompileWith(e.cat, noKey, Config{}); err == nil {
 		t.Error("hash join without keys must fail")
 	}
 }
@@ -369,17 +369,21 @@ func TestCompileTracedVisitsEveryNode(t *testing.T) {
 	e := newEnv(t, 2, 300, 0.05)
 	j := e.hrjn(e.scoreScan(t, "T1"), e.scoreScan(t, "T2"), "T1", "T2")
 	var visited []OpType
-	op, err := CompileTraced(e.cat, j, func(n *Node, _ exec.Operator) {
+	op, err := CompileWith(e.cat, j, Config{Trace: func(n *Node, _ exec.Operator) {
 		visited = append(visited, n.Op)
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(visited) != 3 {
 		t.Fatalf("visited %d nodes, want 3", len(visited))
 	}
-	if _, ok := op.(*exec.HRJN); !ok {
-		t.Error("root operator should be HRJN")
+	a, ok := op.(*exec.Analyzed)
+	if !ok {
+		t.Fatalf("root operator is %T, want its stats collector", op)
+	}
+	if _, ok := a.In.(*exec.HRJN); !ok {
+		t.Error("root collector should wrap HRJN")
 	}
 }
 
@@ -396,7 +400,7 @@ func TestTopKNodeCostAndCompile(t *testing.T) {
 		t.Errorf("bounded-heap top-k (%v) should undercut full sort (%v)",
 			topk.Cost(10), full.Cost(10))
 	}
-	op, err := Compile(e.cat, topk)
+	op, err := CompileWith(e.cat, topk, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +436,7 @@ func TestAggregateNodeCompileAndCost(t *testing.T) {
 		t.Error("sorted aggregate streams: cheaper for fewer groups? at least non-decreasing")
 	}
 	for _, n := range []*Node{hash, sorted} {
-		op, err := Compile(e.cat, n)
+		op, err := CompileWith(e.cat, n, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

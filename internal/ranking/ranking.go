@@ -1,6 +1,6 @@
 // Package ranking implements classic rank-aggregation algorithms over
-// ranked lists: Fagin's Threshold Algorithm (TA), the No-Random-Access
-// algorithm (NRA), and Borda positional counting as a baseline. These solve
+// ranked lists: Fagin's Threshold Algorithm (TA) and the No-Random-Access
+// algorithm (NRA). These solve
 // the paper's "top-k selection" problem class (all lists rank the same
 // object set); the rank-join operators in package exec solve the "top-k
 // join" class. The algorithms share the threshold machinery the paper's
@@ -34,7 +34,7 @@ type Source interface {
 // Result is one aggregated answer.
 type Result struct {
 	ID int64
-	// Score is the exact aggregate for TA/Borda; for NRA it is the lower
+	// Score is the exact aggregate for TA; for NRA it is the lower
 	// bound at termination (exact once every list reported the object).
 	Score float64
 }
@@ -329,41 +329,4 @@ func NRA(lists []SortedAccess, weights []float64, k int) ([]Result, Stats, error
 			return out, stats, nil
 		}
 	}
-}
-
-// Borda scores each object by positional votes: an object ranked p-th in a
-// list of n contributes weight*(n-p). It reads every list fully — the
-// linear-time consistency baseline the paper cites (Borda's method), useful
-// as a cheap but rank-only-approximate comparator.
-func Borda(lists []SortedAccess, weights []float64, k int) ([]Result, Stats, error) {
-	m := len(lists)
-	if err := validate(m, weights, k); err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{SortedAccesses: make([]int, m), RandomAccesses: make([]int, m)}
-	votes := map[int64]float64{}
-	for i, l := range lists {
-		var entries []int64
-		for {
-			id, _, ok := l.Next()
-			if !ok {
-				break
-			}
-			stats.SortedAccesses[i]++
-			entries = append(entries, id)
-		}
-		n := len(entries)
-		for p, id := range entries {
-			votes[id] += weights[i] * float64(n-p-1)
-		}
-	}
-	out := make([]Result, 0, len(votes))
-	for id, v := range votes {
-		out = append(out, Result{ID: id, Score: v})
-	}
-	sortResults(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out, stats, nil
 }

@@ -134,24 +134,6 @@ func TestNRAEarlyOut(t *testing.T) {
 	}
 }
 
-func TestBordaPrefersConsensus(t *testing.T) {
-	// Object 0 is ranked first everywhere; Borda must rank it first.
-	ids := []int64{0, 1, 2}
-	l1 := NewListSource(ids, []float64{0.9, 0.5, 0.1})
-	l2 := NewListSource(ids, []float64{0.8, 0.2, 0.6})
-	got, stats, err := Borda([]SortedAccess{l1, l2}, []float64{1, 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].ID != 0 {
-		t.Fatalf("Borda top = %+v", got[0])
-	}
-	// Borda reads everything.
-	if stats.TotalSorted() != 6 {
-		t.Errorf("Borda sorted accesses = %d", stats.TotalSorted())
-	}
-}
-
 func TestValidation(t *testing.T) {
 	lists, _ := genLists(2, 10, []float64{1, 1}, 3)
 	if _, _, err := TA(asSources(lists), []float64{1}, 5); err == nil {
@@ -163,7 +145,7 @@ func TestValidation(t *testing.T) {
 	if _, _, err := NRA(asSorted(lists), []float64{1, 1}, 0); err == nil {
 		t.Error("k=0 must be rejected")
 	}
-	if _, _, err := Borda(nil, nil, 5); err == nil {
+	if _, _, err := NRA(nil, nil, 5); err == nil {
 		t.Error("empty lists must be rejected")
 	}
 }
