@@ -1,9 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
@@ -13,22 +14,28 @@ import (
 // equi-joins arranged as a path: input i joins input i+1 on
 // LeftKeys[i] = RightKeys[i]. Where MultiHRJN eagerly materializes every join
 // combination a new tuple completes (a product of per-key bucket sizes), AnyK
-// builds per-level sorted adjacency once and then pops results from a
-// priority queue of partial solutions, expanding at most one successor per
-// path position per pop — delay O(m·log) per result after an
-// O(Σ n_i · log n_i) build, independent of the join's output size
-// (Tziavelis et al., "Optimal Join Algorithms Meet Top-k").
+// builds per-level adjacency once and then pops results from a priority
+// queue of partial solutions, expanding at most one successor per path
+// position per pop — delay O(m·log) per result after an O(Σ n_i) build,
+// independent of the join's output size (Tziavelis et al., "Optimal Join
+// Algorithms Meet Top-k").
 //
 // The build phase is bottom-up dynamic programming over the path: each tuple
-// at level i learns its sorted successor bucket at level i+1 (tuples sharing
-// its join key, ordered by best achievable completion) and its own `suffix`
-// bound — its score plus the best completion of the remaining path. The
-// enumeration phase then walks a max-heap of index vectors: popping the
-// current best solution and pushing, for each position at or after the pop's
-// deviation level, the solution that takes the next-best sibling there and
-// the greedy best everywhere after. That partition visits every join result
-// exactly once, in non-increasing score order, with deterministic FIFO
-// tie-breaking.
+// at level i learns its successor bucket at level i+1 (tuples sharing its
+// join key) and its own `suffix` bound — its score plus the best completion
+// of the remaining path. The enumeration phase then walks a max-heap of
+// index vectors: popping the current best solution and pushing, for each
+// position at or after the pop's deviation level, the solution that takes
+// the next-best sibling there and the greedy best everywhere after. That
+// partition visits every join result exactly once, in non-increasing score
+// order, with deterministic FIFO tie-breaking.
+//
+// Ordering is lazy (the "Lazy" any-k variant): the build only moves each
+// bucket's best entry to its front, which is all the suffix DP reads, and
+// heapifies the root level. A bucket's tail is sorted the first time
+// enumeration asks for its second entry, and the root is popped into a
+// sorted run one entry per requested position, so a top-k query sorts only
+// as deep as its k answers reach.
 //
 // Inputs need not be sorted — the build consumes them in any order — so AnyK
 // runs directly over cheap unordered scans where HRJN-family plans must pay
@@ -52,9 +59,13 @@ type AnyK struct {
 	rkeyEvs  []expr.Eval // rkeyEvs[i] binds RightKeys[i] to Inputs[i+1]
 
 	built bool
-	root  []anykEntry
-	pq    anykQueue
-	seq   int
+	// levels[0].entries is the root: a max-heap in root[:rootHeap] and, after
+	// it, the sorted run that root positions index from the end (see rootAt).
+	// Levels 1..m-1 hold their entries grouped contiguously by bucket.
+	levels   []anykLevel
+	rootHeap int
+	pq       anykQueue
+	seq      int
 	// path and prefix are pop-time scratch (the solution walk), reused so
 	// the hot path does not allocate them.
 	path   []*anykEntry
@@ -74,13 +85,124 @@ const anykMaxWidth = 8
 
 // anykEntry is one input tuple annotated for ranked enumeration: its own
 // score contribution, the best total achievable from it to the end of the
-// path (suffix), and its sorted successor bucket at the next level.
+// path (suffix), the id of its successor bucket at the next level, and its
+// position in its input's drain order (after NULL-score drops), which
+// breaks suffix ties.
 type anykEntry struct {
 	tuple  relation.Tuple
 	score  float64
 	suffix float64
-	next   []anykEntry
+	next   int32
 	ord    int32
+}
+
+// anykCompare orders entries for enumeration: higher suffix first, earlier
+// drain position among equals. The order is total within a level, so every
+// sort or heap over it yields one sequence.
+func anykCompare(a, b anykEntry) int {
+	if a.suffix != b.suffix {
+		if a.suffix > b.suffix {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.ord, b.ord)
+}
+
+// anykBucket is one join key's run of entries within a level:
+// entries[lo:lo+n]. The best entry sits at lo from the build on; the tail
+// is sorted on first access and then marked sorted for every predecessor
+// that shares the bucket.
+type anykBucket struct {
+	lo, n  int32
+	sorted bool
+}
+
+// anykLevel is one path level after the build.
+type anykLevel struct {
+	entries []anykEntry
+	buckets []anykBucket
+}
+
+// at returns entry i of bucket b, sorting the bucket's tail the first time
+// a position past its front is asked for.
+func (lv *anykLevel) at(b, i int32) (*anykEntry, bool) {
+	bk := &lv.buckets[b]
+	if i >= bk.n {
+		return nil, false
+	}
+	if i > 0 && !bk.sorted {
+		slices.SortFunc(lv.entries[bk.lo+1:bk.lo+bk.n], anykCompare)
+		bk.sorted = true
+	}
+	return &lv.entries[bk.lo+i], true
+}
+
+// anykKeys maps one level's join-key values to its bucket ids with
+// Value.HashKey's equality — ints and floats unify, NaN matches nothing, and
+// −0 equals +0 — but keeps numeric keys in a float64-keyed map so the common
+// case boxes nothing.
+type anykKeys struct {
+	num   map[float64]int32
+	other map[any]int32
+}
+
+// find returns the bucket of non-NULL key v.
+func (k *anykKeys) find(v relation.Value) (int32, bool) {
+	if v.Numeric() {
+		b, ok := k.num[v.AsFloat()]
+		return b, ok
+	}
+	b, ok := k.other[v.HashKey()]
+	return b, ok
+}
+
+// intern returns the bucket of non-NULL key v, assigning id fresh when v is
+// new (a NaN key is always new, as in any Go map).
+func (k *anykKeys) intern(v relation.Value, fresh int32) int32 {
+	if v.Numeric() {
+		f := v.AsFloat()
+		if b, ok := k.num[f]; ok {
+			return b
+		}
+		if k.num == nil {
+			k.num = make(map[float64]int32)
+		}
+		k.num[f] = fresh
+		return fresh
+	}
+	hk := v.HashKey()
+	if b, ok := k.other[hk]; ok {
+		return b
+	}
+	if k.other == nil {
+		k.other = make(map[any]int32)
+	}
+	k.other[hk] = fresh
+	return fresh
+}
+
+// anykRows holds one level's drained entries in drain order. Chunks double
+// up to anykChunkMax entries, so the drain never copies an entry to grow.
+type anykRows struct {
+	chunks [][]anykEntry
+	n      int
+}
+
+const anykChunkMax = 4096
+
+func (r *anykRows) add(e anykEntry) {
+	last := len(r.chunks) - 1
+	if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
+		size := anykChunkMax
+		if len(r.chunks) < 6 {
+			size = 64 << len(r.chunks)
+		}
+		r.chunks = append(r.chunks, make([]anykEntry, 0, size))
+		last++
+	}
+	r.chunks[last] = append(r.chunks[last], e)
+	r.n++
 }
 
 // anykSol is a pending (partial) solution: an index vector selecting one
@@ -175,7 +297,8 @@ func (j *AnyK) Depths() []int { return append([]int(nil), j.depths...) }
 func (j *AnyK) MaxQueue() int { return j.maxQueue }
 
 // Stats implements StatsReporter: the build drains every input fully, so the
-// reported depths are the input cardinalities after NULL drops.
+// reported depths are the input cardinalities, rows with a NULL score
+// included.
 func (j *AnyK) Stats() RankJoinStats {
 	st := RankJoinStats{MaxQueue: j.maxQueue, Emitted: j.emitted}
 	if len(j.depths) > 0 {
@@ -230,7 +353,8 @@ func (j *AnyK) OpenCtx(ctx context.Context) error {
 		}
 	}
 	j.built = false
-	j.root = nil
+	j.levels = nil
+	j.rootHeap = 0
 	j.pq = j.pq[:0]
 	j.seq = 0
 	j.path = make([]*anykEntry, m)
@@ -241,145 +365,187 @@ func (j *AnyK) OpenCtx(ctx context.Context) error {
 	return nil
 }
 
-// drainLevel consumes input i fully, returning its surviving entries.
-// Tuples with a NULL score or a NULL required join key cannot contribute to
-// any result and are dropped.
-func (j *AnyK) drainLevel(i int) ([]anykEntry, error) {
-	var out []anykEntry
+// drain consumes input i fully into rows, batch-at-a-time through batch.
+// Tuples with a NULL score cannot contribute to any result and are dropped
+// (after being counted against the depth).
+func (j *AnyK) drain(i int, batch *Batch, rows *anykRows) error {
+	var src batchSource
+	src.reset(j.cancel.ctx, j.Inputs[i])
 	for {
-		if err := j.cancel.poll(); err != nil {
-			return nil, err
-		}
-		t, ok, err := j.Inputs[i].Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		j.depths[i]++
-		if err := j.Budget.depthOK(j.depths[i]); err != nil {
-			return nil, err
-		}
-		sv, err := j.scoreEvs[i](t)
-		if err != nil {
-			return nil, err
-		}
-		if sv.IsNull() {
-			continue
-		}
-		s, err := finiteScore(sv.AsFloat(), "AnyK", "path")
-		if err != nil {
-			return nil, err
-		}
-		if err := j.acct.charge(1); err != nil {
-			return nil, err
-		}
-		out = append(out, anykEntry{tuple: t, score: s, ord: int32(len(out))})
-	}
-}
-
-// levelKey evaluates ev on the entry's tuple, returning the hash key and
-// whether the key is usable (non-NULL).
-func levelKey(ev expr.Eval, e *anykEntry) (any, bool, error) {
-	kv, err := ev(e.tuple)
-	if err != nil {
-		return nil, false, err
-	}
-	if kv.IsNull() {
-		return nil, false, nil
-	}
-	return kv.HashKey(), true, nil
-}
-
-// build runs the bottom-up phase: drain every input, then assign suffix
-// bounds and sorted successor buckets backward along the path.
-func (j *AnyK) build() error {
-	m := len(j.Inputs)
-	levels := make([][]anykEntry, m)
-	for i := 0; i < m; i++ {
-		lv, err := j.drainLevel(i)
+		ok, err := src.next(batch, DefaultBatchSize)
 		if err != nil {
 			return err
 		}
-		levels[i] = lv
-	}
-
-	// byKey buckets the current (deeper) level's surviving entries by the
-	// join key their predecessors probe with.
-	sortBucket := func(b []anykEntry) {
-		sort.Slice(b, func(x, y int) bool {
-			if b[x].suffix != b[y].suffix {
-				return b[x].suffix > b[y].suffix
-			}
-			return b[x].ord < b[y].ord
-		})
-	}
-	var byKey map[any][]anykEntry
-	for lvl := m - 1; lvl >= 0; lvl-- {
-		var kept []anykEntry
-		for idx := range levels[lvl] {
+		if !ok {
+			return nil
+		}
+		for _, t := range batch.Tuples() {
 			if err := j.cancel.poll(); err != nil {
 				return err
 			}
-			e := levels[lvl][idx]
-			if lvl == m-1 {
-				e.suffix = e.score
-			} else {
-				hk, ok, err := levelKey(j.lkeyEvs[lvl], &e)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					j.acct.release(1)
-					continue
-				}
-				nxt := byKey[hk]
-				if len(nxt) == 0 {
-					// No completion below: the entry is dead weight.
-					j.acct.release(1)
-					continue
-				}
-				e.next = nxt
-				e.suffix = e.score + nxt[0].suffix
+			j.depths[i]++
+			if err := j.Budget.depthOK(j.depths[i]); err != nil {
+				return err
 			}
-			kept = append(kept, e)
-		}
-		if lvl == 0 {
-			sortBucket(kept)
-			for i := range kept {
-				kept[i].ord = int32(i)
-			}
-			j.root = kept
-			break
-		}
-		next := make(map[any][]anykEntry, len(kept))
-		for _, e := range kept {
-			hk, ok, err := levelKey(j.rkeyEvs[lvl-1], &e)
+			sv, err := j.scoreEvs[i](t)
 			if err != nil {
 				return err
 			}
-			if !ok {
-				j.acct.release(1)
+			if sv.IsNull() {
 				continue
 			}
-			next[hk] = append(next[hk], e)
-		}
-		for hk, b := range next {
-			sortBucket(b)
-			for i := range b {
-				b[i].ord = int32(i)
+			s, err := finiteScore(sv.AsFloat(), "AnyK", "path")
+			if err != nil {
+				return err
 			}
-			next[hk] = b
+			if err := j.acct.charge(1); err != nil {
+				return err
+			}
+			rows.add(anykEntry{tuple: t, score: s, ord: int32(rows.n)})
 		}
-		byKey = next
+	}
+}
+
+// classify finishes drained entry e of level lvl: it sets e's suffix and,
+// above the last level, its successor bucket, and returns e's own bucket —
+// 0 on the root level, its interned join key elsewhere (fresh when the key
+// is new) — or -1 when e is dead: a NULL key, or no completion below.
+func (j *AnyK) classify(lvl int, e *anykEntry, below, keys *anykKeys, fresh int32) (int32, error) {
+	e.suffix = e.score
+	if lvl < len(j.Inputs)-1 {
+		kv, err := j.lkeyEvs[lvl](e.tuple)
+		if err != nil || kv.IsNull() {
+			return -1, err
+		}
+		nb, ok := below.find(kv)
+		if !ok {
+			return -1, nil
+		}
+		lower := &j.levels[lvl+1]
+		e.next = nb
+		e.suffix += lower.entries[lower.buckets[nb].lo].suffix
+	}
+	if lvl == 0 {
+		return 0, nil
+	}
+	kv, err := j.rkeyEvs[lvl-1](e.tuple)
+	if err != nil || kv.IsNull() {
+		return -1, err
+	}
+	return keys.intern(kv, fresh), nil
+}
+
+// group builds level lvl from its drained rows, given the key index of the
+// already-built level below, and returns the level's own key index for the
+// level above. Dead rows are released. Live rows are counted per bucket,
+// then placed in drain order into one contiguous array, and each bucket's
+// best entry is moved to its front. own is scratch for rows.n bucket ids.
+func (j *AnyK) group(lvl int, rows *anykRows, below *anykKeys, own []int32) (anykKeys, error) {
+	var keys anykKeys
+	var buckets []anykBucket
+	if lvl == 0 {
+		buckets = []anykBucket{{}}
+	}
+	live, r := 0, 0
+	for _, ch := range rows.chunks {
+		for x := range ch {
+			if err := j.cancel.poll(); err != nil {
+				return keys, err
+			}
+			b, err := j.classify(lvl, &ch[x], below, &keys, int32(len(buckets)))
+			if err != nil {
+				return keys, err
+			}
+			own[r] = b
+			r++
+			switch {
+			case b < 0:
+				j.acct.release(1)
+				continue
+			case int(b) == len(buckets):
+				buckets = append(buckets, anykBucket{})
+			}
+			buckets[b].n++
+			live++
+		}
 	}
 
-	if len(j.root) > 0 {
+	var lo int32
+	for b := range buckets {
+		buckets[b].lo = lo
+		lo += buckets[b].n
+		buckets[b].n = 0
+	}
+	entries := make([]anykEntry, live)
+	r = 0
+	for _, ch := range rows.chunks {
+		for x := range ch {
+			if err := j.cancel.poll(); err != nil {
+				return keys, err
+			}
+			if b := own[r]; b >= 0 {
+				bk := &buckets[b]
+				entries[bk.lo+bk.n] = ch[x]
+				bk.n++
+			}
+			r++
+		}
+	}
+	j.levels[lvl] = anykLevel{entries: entries, buckets: buckets}
+	if lvl == 0 {
+		return keys, nil
+	}
+	for b := range buckets {
+		run := entries[buckets[b].lo : buckets[b].lo+buckets[b].n]
+		best := 0
+		for x := 1; x < len(run); x++ {
+			if err := j.cancel.poll(); err != nil {
+				return keys, err
+			}
+			// Strict: among equal suffixes the earliest-drained entry wins.
+			if run[x].suffix > run[best].suffix {
+				best = x
+			}
+		}
+		run[0], run[best] = run[best], run[0]
+		buckets[b].sorted = len(run) <= 2
+	}
+	return keys, nil
+}
+
+// build runs the bottom-up phase: drain every input, then place each level
+// into key buckets and assign suffix bounds backward along the path, and
+// finally heapify the root.
+func (j *AnyK) build() error {
+	m := len(j.Inputs)
+	batch := NewBatch(DefaultBatchSize)
+	rows := make([]anykRows, m)
+	maxRows := 0
+	for i := range rows {
+		if err := j.drain(i, batch, &rows[i]); err != nil {
+			return err
+		}
+		maxRows = max(maxRows, rows[i].n)
+	}
+	own := make([]int32, maxRows)
+	j.levels = make([]anykLevel, m)
+	var below anykKeys
+	for lvl := m - 1; lvl >= 0; lvl-- {
+		keys, err := j.group(lvl, &rows[lvl], &below, own)
+		if err != nil {
+			return err
+		}
+		below = keys
+		rows[lvl] = anykRows{}
+	}
+	if err := j.heapifyRoot(); err != nil {
+		return err
+	}
+	if top, ok := j.rootAt(0); ok {
 		if err := j.acct.charge(1); err != nil {
 			return err
 		}
-		j.pq.push(anykSol{score: j.root[0].suffix, seq: j.seq})
+		j.pq.push(anykSol{score: top.suffix, seq: j.seq})
 		j.seq++
 		j.maxQueue = 1
 	}
@@ -387,19 +553,70 @@ func (j *AnyK) build() error {
 	return nil
 }
 
-// walk materializes the popped solution's per-level entries and running
-// prefix scores into the reusable scratch.
-func (j *AnyK) walk(s *anykSol) {
-	bucket := j.root
-	for lvl := 0; lvl < len(j.Inputs); lvl++ {
-		e := &bucket[s.idx[lvl]]
-		j.path[lvl] = e
-		if lvl == 0 {
-			j.prefix[0] = e.score
-		} else {
-			j.prefix[lvl] = j.prefix[lvl-1] + e.score
+// The root level is ordered by an in-place heapsort run lazily: root[:rootHeap]
+// is a max-heap under anykCompare, and each pop moves the heap's best entry
+// to root[rootHeap-1], just before the sorted run. Root position i therefore
+// lives at root[len(root)-1-i] once popped, and popped entries never move.
+
+// heapifyRoot builds the root max-heap in O(n).
+func (j *AnyK) heapifyRoot() error {
+	root := j.levels[0].entries
+	j.rootHeap = len(root)
+	for h := len(root)/2 - 1; h >= 0; h-- {
+		if err := j.cancel.poll(); err != nil {
+			return err
 		}
-		bucket = e.next
+		anykSiftDown(root[:j.rootHeap], h)
+	}
+	return nil
+}
+
+func anykSiftDown(h []anykEntry, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && anykCompare(h[r], h[c]) < 0 {
+			c = r
+		}
+		if anykCompare(h[c], h[i]) > 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// rootAt returns root position i, popping the heap until the sorted run
+// reaches it.
+func (j *AnyK) rootAt(i int32) (*anykEntry, bool) {
+	root := j.levels[0].entries
+	pos := len(root) - 1 - int(i)
+	if pos < 0 {
+		return nil, false
+	}
+	for pos < j.rootHeap {
+		j.rootHeap--
+		root[0], root[j.rootHeap] = root[j.rootHeap], root[0]
+		anykSiftDown(root[:j.rootHeap], 0)
+	}
+	return &root[pos], true
+}
+
+// walk materializes the popped solution's per-level entries and running
+// prefix scores into the reusable scratch. Every index it follows was
+// resolved (and so ordered) when the solution was pushed.
+func (j *AnyK) walk(s *anykSol) {
+	root := j.levels[0].entries
+	e := &root[len(root)-1-int(s.idx[0])]
+	j.path[0] = e
+	j.prefix[0] = e.score
+	for lvl := 1; lvl < len(j.Inputs); lvl++ {
+		lv := &j.levels[lvl]
+		e = &lv.entries[lv.buckets[e.next].lo+s.idx[lvl]]
+		j.path[lvl] = e
+		j.prefix[lvl] = j.prefix[lvl-1] + e.score
 	}
 }
 
@@ -423,18 +640,23 @@ func (j *AnyK) Next() (relation.Tuple, bool, error) {
 	j.walk(&sol)
 
 	for lvl := int(sol.dev); lvl < m; lvl++ {
-		bucket := j.root
-		if lvl > 0 {
-			bucket = j.path[lvl-1].next
-		}
+		// Resolving the sibling may sort its bucket's tail; the walked entry
+		// at this level is then the bucket's front, which never moves.
 		ni := sol.idx[lvl] + 1
-		if int(ni) >= len(bucket) {
+		var sib *anykEntry
+		var ok bool
+		if lvl == 0 {
+			sib, ok = j.rootAt(ni)
+		} else {
+			sib, ok = j.levels[lvl].at(j.path[lvl-1].next, ni)
+		}
+		if !ok {
 			continue
 		}
 		succ := anykSol{seq: j.seq, dev: int8(lvl)}
 		copy(succ.idx[:lvl], sol.idx[:lvl])
 		succ.idx[lvl] = ni
-		succ.score = bucket[ni].suffix
+		succ.score = sib.suffix
 		if lvl > 0 {
 			succ.score += j.prefix[lvl-1]
 		}
@@ -464,7 +686,7 @@ func (j *AnyK) Close() error {
 			first = err
 		}
 	}
-	j.root = nil
+	j.levels = nil
 	j.pq = nil
 	j.path = nil
 	j.built = false
